@@ -1,12 +1,13 @@
 // Micro-operation costs of the simulated substrate and the protocol
 // building blocks (google-benchmark). Supporting data for interpreting the
 // macro benches: verb costs, lock/unlock cycles, log-record framing, ring
-// lookups and the PILL failed-ids check.
+// lookups, the PILL failed-ids check and the fiber scheduler's switch.
 
 #include <benchmark/benchmark.h>
 
 #include "cluster/placement.h"
 #include "common/checksum.h"
+#include "common/fiber.h"
 #include "common/fixed_bitset.h"
 #include "rdma/fabric.h"
 #include "store/log_layout.h"
@@ -164,6 +165,19 @@ void BM_KeyHash(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_KeyHash);
+
+// One fiber suspend/resume round trip through the wait hook: the
+// scheduler-layer cost every simulated RDMA wait pays under fibers. The
+// lone fiber is due again at once, so each iteration is a switch out to
+// the scheduler, one heap pop and a switch back in, with no idle spin.
+void BM_FiberSwitch(benchmark::State& state) {
+  FiberScheduler scheduler;
+  scheduler.Spawn([&] {
+    for (auto _ : state) scheduler.WaitUntilNanos(0);
+  });
+  scheduler.Run();
+}
+BENCHMARK(BM_FiberSwitch);
 
 }  // namespace
 }  // namespace pandora

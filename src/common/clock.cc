@@ -24,13 +24,23 @@ uint64_t NowNanos() {
 
 uint64_t NowMicros() { return NowNanos() / 1000; }
 
-void SpinUntilNanos(uint64_t deadline_ns) {
-  // Cooperative wait hook: inside a fiber, suspend it until the deadline
-  // and let another in-flight transaction use the core. The scheduler
-  // resumes the fiber no earlier than deadline_ns, so callers observe the
-  // same elapsed wall time as the blocking spin below.
+namespace {
+
+// The scheduler to suspend into when called from inside a fiber, else
+// nullptr: the cooperative wait hook behind SpinUntilNanos, SpinForNanos
+// and SleepForMicros. Inside a fiber a wait suspends it until the deadline
+// and lets another in-flight transaction use the core. The scheduler
+// resumes the fiber no earlier than the deadline, so callers observe the
+// same elapsed wall time as the blocking waits below.
+FiberScheduler* WaitingScheduler() {
   FiberScheduler* scheduler = FiberScheduler::Active();
-  if (scheduler != nullptr && scheduler->InFiber()) {
+  return scheduler != nullptr && scheduler->InFiber() ? scheduler : nullptr;
+}
+
+}  // namespace
+
+void SpinUntilNanos(uint64_t deadline_ns) {
+  if (FiberScheduler* scheduler = WaitingScheduler()) {
     scheduler->WaitUntilNanos(deadline_ns);
     return;
   }
@@ -48,15 +58,18 @@ void SpinUntilNanos(uint64_t deadline_ns) {
 }
 
 void SpinForNanos(uint64_t delay_ns) {
+  if (FiberScheduler* scheduler = WaitingScheduler()) {
+    scheduler->WaitForNanos(delay_ns);
+    return;
+  }
   SpinUntilNanos(NowNanos() + delay_ns);
 }
 
 void SleepForMicros(uint64_t micros) {
-  // Same cooperative hook as SpinUntilNanos: a sleeping fiber (stall
-  // retry, gate wait, pacing) must not block its whole worker thread.
-  FiberScheduler* scheduler = FiberScheduler::Active();
-  if (scheduler != nullptr && scheduler->InFiber()) {
-    scheduler->WaitUntilNanos(NowNanos() + micros * 1000);
+  // A sleeping fiber (stall retry, gate wait, pacing) must not block its
+  // whole worker thread.
+  if (FiberScheduler* scheduler = WaitingScheduler()) {
+    scheduler->WaitForNanos(micros * 1000);
     return;
   }
   std::this_thread::sleep_for(std::chrono::microseconds(micros));

@@ -32,6 +32,73 @@
 #include <sanitizer/tsan_interface.h>
 #endif
 
+#if !defined(__x86_64__)
+#error "FiberScheduler's stack switch is x86-64 SysV assembly; this architecture needs a port of pandora_fiber_switch / pandora_fiber_entry in common/fiber.cc"
+#endif
+
+// pandora_fiber_switch(save_sp, load_sp) pushes the SysV callee-saved
+// registers (rbp, rbx, r12-r15) and the MXCSR / x87 control words onto the
+// current stack, stores the stack pointer into *save_sp, switches to
+// load_sp and pops the same set back off that stack; its `ret` resumes
+// whoever saved load_sp. Caller-saved registers, every vector register
+// included, are already dead across a call, and fibers never change the
+// signal mask, so unlike swapcontext the switch makes no system call.
+//
+// pandora_fiber_entry is where a fresh fiber's first switch returns to.
+// Spawn() builds that first frame with the Fiber* in r12 and
+// FiberScheduler::Trampoline in r13; the stub calls one with the other on
+// a 16-byte-aligned stack and marks the end of the call chain for
+// unwinders and debuggers.
+extern "C" {
+void pandora_fiber_switch(void** save_sp, void* load_sp);
+void pandora_fiber_entry();
+}
+
+__asm__(R"(
+  .pushsection .text
+  .p2align 4
+  .globl pandora_fiber_switch
+  .hidden pandora_fiber_switch
+  .type pandora_fiber_switch, @function
+pandora_fiber_switch:
+  pushq %rbp
+  pushq %rbx
+  pushq %r12
+  pushq %r13
+  pushq %r14
+  pushq %r15
+  subq $16, %rsp
+  stmxcsr 8(%rsp)
+  fnstcw (%rsp)
+  movq %rsp, (%rdi)
+  movq %rsi, %rsp
+  ldmxcsr 8(%rsp)
+  fldcw (%rsp)
+  addq $16, %rsp
+  popq %r15
+  popq %r14
+  popq %r13
+  popq %r12
+  popq %rbx
+  popq %rbp
+  ret
+  .size pandora_fiber_switch, .-pandora_fiber_switch
+
+  .p2align 4
+  .globl pandora_fiber_entry
+  .hidden pandora_fiber_entry
+  .type pandora_fiber_entry, @function
+pandora_fiber_entry:
+  .cfi_startproc
+  .cfi_undefined rip
+  movq %r12, %rdi
+  callq *%r13
+  ud2
+  .cfi_endproc
+  .size pandora_fiber_entry, .-pandora_fiber_entry
+  .popsection
+)");
+
 namespace pandora {
 
 namespace {
@@ -52,12 +119,24 @@ void IdleSpinUntilNanos(uint64_t deadline_ns) {
   }
 }
 
+// What pandora_fiber_switch leaves on a suspended stack, lowest address
+// (the saved stack pointer) first.
+struct SwitchFrame {
+  uint16_t fpu_control;
+  uint16_t pad0[3];
+  uint32_t mxcsr;
+  uint32_t pad1;
+  uint64_t r15, r14, r13, r12, rbx, rbp;
+  void* return_address;
+};
+static_assert(sizeof(SwitchFrame) == 72, "must match pandora_fiber_switch");
+
 }  // namespace
 
 struct FiberScheduler::Fiber {
   std::function<void()> body;
   FiberScheduler* scheduler = nullptr;
-  ucontext_t context;
+  void* sp = nullptr;  // Saved stack pointer while switched out.
   std::unique_ptr<char[]> stack;
   uint64_t ready_at_ns = 0;  // Runnable once NowNanos() >= this.
   uint64_t seq = 0;          // FIFO tie-break among equal deadlines.
@@ -90,9 +169,7 @@ FiberScheduler::~FiberScheduler() {
 
 FiberScheduler* FiberScheduler::Active() { return tl_active_scheduler; }
 
-void FiberScheduler::Trampoline(unsigned int hi, unsigned int lo) {
-  auto* fiber = reinterpret_cast<Fiber*>(
-      (static_cast<uintptr_t>(hi) << 32) | static_cast<uintptr_t>(lo));
+void FiberScheduler::Trampoline(Fiber* fiber) {
   FiberScheduler* scheduler = fiber->scheduler;
   scheduler->FinishSwitchIntoFiber(fiber);
   fiber->body();
@@ -106,16 +183,24 @@ void FiberScheduler::Spawn(std::function<void()> body) {
   auto fiber = std::make_unique<Fiber>();
   fiber->body = std::move(body);
   fiber->scheduler = this;
-  fiber->stack = std::make_unique<char[]>(options_.stack_bytes);
+  fiber->stack = std::make_unique_for_overwrite<char[]>(options_.stack_bytes);
   fiber->seq = ++next_seq_;
-  PANDORA_CHECK(getcontext(&fiber->context) == 0);
-  fiber->context.uc_stack.ss_sp = fiber->stack.get();
-  fiber->context.uc_stack.ss_size = options_.stack_bytes;
-  fiber->context.uc_link = nullptr;  // Fibers exit via SwitchOut, never fall off.
-  const uintptr_t addr = reinterpret_cast<uintptr_t>(fiber.get());
-  makecontext(&fiber->context, reinterpret_cast<void (*)()>(&Trampoline), 2,
-              static_cast<unsigned int>(addr >> 32),
-              static_cast<unsigned int>(addr & 0xffffffffu));
+  // The first frame, as if the fiber had called pandora_fiber_switch from
+  // the top of pandora_fiber_entry. Its `ret` leaves the stack pointer 16
+  // bytes below the aligned stack top, so the stub's call into Trampoline
+  // sees the 16-byte alignment the ABI requires. The fiber starts with the
+  // spawning thread's floating-point control state.
+  const uintptr_t top =
+      (reinterpret_cast<uintptr_t>(fiber->stack.get()) +
+       options_.stack_bytes) & ~uintptr_t{15};
+  auto* frame = reinterpret_cast<SwitchFrame*>(top - 16 - sizeof(SwitchFrame));
+  *frame = SwitchFrame{};
+  __asm__ volatile("fnstcw %0" : "=m"(frame->fpu_control));
+  __asm__ volatile("stmxcsr %0" : "=m"(frame->mxcsr));
+  frame->r12 = reinterpret_cast<uint64_t>(fiber.get());
+  frame->r13 = reinterpret_cast<uint64_t>(&Trampoline);
+  frame->return_address = reinterpret_cast<void*>(&pandora_fiber_entry);
+  fiber->sp = frame;
 #if defined(PANDORA_TSAN_FIBERS)
   fiber->tsan_fiber = __tsan_create_fiber(0);
 #endif
@@ -163,13 +248,16 @@ void FiberScheduler::Run() {
 #if defined(PANDORA_TSAN_FIBERS)
   main_tsan_fiber_ = __tsan_get_current_fiber();
 #endif
+  uint64_t now = NowNanos();
   while (Fiber* next = PickNext()) {
-    uint64_t now = NowNanos();
     if (next->ready_at_ns > now) {
-      // Nothing runnable: this is the only wall time a wait still costs.
-      stats_.idle_ns += next->ready_at_ns - now;
-      IdleSpinUntilNanos(next->ready_at_ns);
-      now = next->ready_at_ns;
+      now = NowNanos();
+      if (next->ready_at_ns > now) {
+        // Nothing runnable: this is the only wall time a wait still costs.
+        stats_.idle_ns += next->ready_at_ns - now;
+        IdleSpinUntilNanos(next->ready_at_ns);
+        now = next->ready_at_ns;
+      }
     }
     MaybeYieldOsThread(now);
     if (next->runnable_from_ns != 0) {
@@ -183,16 +271,29 @@ void FiberScheduler::Run() {
       }
     }
     SwitchIn(next);
-    if (next->done) next->stack.reset();  // Stack is dead; free it early.
+    if (next->done) {
+      next->stack.reset();  // Stack is dead; free it early.
+      now = NowNanos();
+    } else {
+      now = suspend_now_ns_;  // The clock read the fiber suspended with.
+    }
   }
   tl_active_scheduler = nullptr;
 }
 
 void FiberScheduler::WaitUntilNanos(uint64_t deadline_ns) {
-  stats_.yields++;
+  Wait(deadline_ns, NowNanos());
+}
+
+void FiberScheduler::WaitForNanos(uint64_t delay_ns) {
   const uint64_t now = NowNanos();
-  if (deadline_ns > now) stats_.wait_ns += deadline_ns - now;
-  SuspendCurrent(deadline_ns);
+  Wait(now + delay_ns, now);
+}
+
+void FiberScheduler::Wait(uint64_t deadline_ns, uint64_t now_ns) {
+  stats_.yields++;
+  if (deadline_ns > now_ns) stats_.wait_ns += deadline_ns - now_ns;
+  SuspendCurrent(deadline_ns, now_ns);
   // The scheduler resumes a fiber only once its deadline has passed, so
   // NowNanos() >= deadline_ns here — the simulated wait fully elapsed.
 }
@@ -215,16 +316,17 @@ bool FiberScheduler::PaceAdmission() {
   // behind a short quantum.
   stats_.paced_admissions++;
   const uint64_t quantum = std::max<uint64_t>(options_.lag_budget_ns / 2, 1000);
-  SuspendCurrent(now + quantum);
+  SuspendCurrent(now + quantum, now);
   return true;
 }
 
-void FiberScheduler::SuspendCurrent(uint64_t deadline_ns) {
+void FiberScheduler::SuspendCurrent(uint64_t deadline_ns, uint64_t now_ns) {
   Fiber* fiber = current_;
   PANDORA_CHECK(fiber != nullptr);
   fiber->ready_at_ns = deadline_ns;
-  fiber->runnable_from_ns = std::max(deadline_ns, NowNanos());
+  fiber->runnable_from_ns = std::max(deadline_ns, now_ns);
   fiber->seq = ++next_seq_;
+  suspend_now_ns_ = now_ns;
   PushReady(fiber);
   SwitchOut(fiber);
 }
@@ -238,7 +340,7 @@ void FiberScheduler::SwitchIn(Fiber* fiber) {
   __tsan_switch_to_fiber(fiber->tsan_fiber, 0);
 #endif
   current_ = fiber;
-  PANDORA_CHECK(swapcontext(&main_context_, &fiber->context) == 0);
+  pandora_fiber_switch(&main_sp_, fiber->sp);
   current_ = nullptr;
 #if defined(PANDORA_ASAN_FIBERS)
   __sanitizer_finish_switch_fiber(main_fake_stack_, nullptr, nullptr);
@@ -254,7 +356,7 @@ void FiberScheduler::SwitchOut(Fiber* fiber) {
 #if defined(PANDORA_TSAN_FIBERS)
   __tsan_switch_to_fiber(main_tsan_fiber_, 0);
 #endif
-  PANDORA_CHECK(swapcontext(&fiber->context, &main_context_) == 0);
+  pandora_fiber_switch(&fiber->sp, main_sp_);
   // Resumed by a later SwitchIn.
   FinishSwitchIntoFiber(fiber);
 }

@@ -1,8 +1,6 @@
 #ifndef PANDORA_COMMON_FIBER_H_
 #define PANDORA_COMMON_FIBER_H_
 
-#include <ucontext.h>
-
 #include <cstddef>
 #include <cstdint>
 #include <functional>
@@ -49,6 +47,11 @@ namespace pandora {
 /// Threads that never install a scheduler (unit tests, the litmus
 /// harness's lockstep slots, recovery and heartbeat threads) are
 /// untouched: the wait hook is inert without a thread-local scheduler.
+///
+/// A switch is a hand-written x86-64 SysV stack swap (fiber.cc): it saves
+/// the callee-saved registers and the MXCSR / x87 control words and
+/// never touches the signal mask, so suspending and resuming a fiber
+/// makes no system call. Other architectures need a port of that routine.
 class FiberScheduler {
  public:
   struct Stats {
@@ -120,6 +123,9 @@ class FiberScheduler {
   /// from inside a fiber.
   void WaitUntilNanos(uint64_t deadline_ns);
 
+  /// WaitUntilNanos(NowNanos() + delay_ns), reading the clock once.
+  void WaitForNanos(uint64_t delay_ns);
+
   /// Admission pacing (bounded in-flight work): call from a fiber before
   /// starting a NEW unit of work. If the oldest runnable sibling is
   /// overdue past the lag budget, the calling fiber suspends for a short
@@ -136,7 +142,7 @@ class FiberScheduler {
  private:
   struct Fiber;
 
-  static void Trampoline(unsigned int hi, unsigned int lo);
+  [[noreturn]] static void Trampoline(Fiber* fiber);
   void SwitchIn(Fiber* fiber);         // Scheduler context -> fiber.
   void SwitchOut(Fiber* fiber);        // Fiber -> scheduler context.
   void FinishSwitchIntoFiber(Fiber* fiber);  // Sanitizer arrival hook.
@@ -144,9 +150,13 @@ class FiberScheduler {
   /// heap; nullptr when no fiber remains. O(log n).
   Fiber* PickNext();
   static bool ResumesAfter(const Fiber* a, const Fiber* b);
+  /// Suspends the current fiber through the wait hook: wait accounting,
+  /// then SuspendCurrent. `now_ns` is the caller's clock reading.
+  void Wait(uint64_t deadline_ns, uint64_t now_ns);
   /// Re-queues the current fiber with the given deadline and switches to
-  /// the scheduler. Wait/pacing accounting is done by the callers.
-  void SuspendCurrent(uint64_t deadline_ns);
+  /// the scheduler, handing it `now_ns` as its next clock reading.
+  /// Wait/pacing accounting is done by the callers.
+  void SuspendCurrent(uint64_t deadline_ns, uint64_t now_ns);
   void PushReady(Fiber* fiber);
   void MaybeYieldOsThread(uint64_t now_ns);
 
@@ -155,7 +165,13 @@ class FiberScheduler {
   /// Min-heap of runnable/suspended fibers on (ready_at_ns, seq).
   std::vector<Fiber*> ready_;
   Fiber* current_ = nullptr;
-  ucontext_t main_context_;
+  /// Saved stack pointer of the scheduler (thread) context while a fiber
+  /// runs.
+  void* main_sp_ = nullptr;
+  /// Clock reading taken by the fiber that last suspended. The run loop
+  /// reuses it to dispatch fibers already due by then: time only moves
+  /// forward, so they are still due, and no second clock read is needed.
+  uint64_t suspend_now_ns_ = 0;
   uint64_t next_seq_ = 0;
   uint64_t last_os_yield_ns_ = 0;
   Stats stats_;

@@ -84,8 +84,10 @@ class QueuePair {
   /// The Fabric's verb-schedule hook slot (nullptr for QPs built outside a
   /// fabric). One relaxed load per verb when no hook is installed.
   VerbHookSlot* hook_slot_;
-  /// Per-QP verb issue index, tagged into VerbDesc::qp_seq.
-  uint64_t seq_ = 0;
+  /// Per-QP issue index of the verbs a schedule hook saw, tagged into
+  /// VerbDesc::qp_seq. Atomic: every thread of the compute node shares
+  /// this QP.
+  std::atomic<uint64_t> seq_{0};
 };
 
 /// Groups verbs (possibly across several queue pairs / memory servers) that

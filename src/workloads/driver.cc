@@ -68,6 +68,25 @@ void Driver::RunSlotTxn(Slot* slot, Random* rng, uint64_t start_ns,
   // NotFound / ResourceExhausted etc.: transaction-level no-ops.
 }
 
+void Driver::ArmNextStart(Slot* slot, uint64_t now) const {
+  if (config_.pace_us == 0) return;
+  // Advance from the previous due time, not from `now`, so the slot keeps
+  // the phase StaggerFirstStarts gave it instead of falling into step
+  // with the slots that stalled alongside it. Whole periods missed during
+  // a stall are skipped rather than replayed as a catch-up burst.
+  const uint64_t pace_ns = config_.pace_us * 1000;
+  const uint64_t missed = (now - slot->next_due_ns) / pace_ns;
+  slot->next_due_ns += (missed + 1) * pace_ns;
+}
+
+void Driver::StaggerFirstStarts(uint32_t worker_index) {
+  const uint64_t now = NowNanos();
+  const uint64_t pace_ns = config_.pace_us * 1000;
+  for (size_t i = worker_index; i < slots_.size(); i += config_.threads) {
+    slots_[i]->next_due_ns = now + pace_ns * i / slots_.size();
+  }
+}
+
 void Driver::WorkerLoop(uint32_t worker_index, uint64_t start_ns,
                         uint64_t deadline_ns, LatencyHistogram* latency) {
   Random rng(config_.seed * 7919 + worker_index);
@@ -78,6 +97,7 @@ void Driver::WorkerLoop(uint32_t worker_index, uint64_t start_ns,
     mine.push_back(slots_[i].get());
   }
   if (mine.empty()) return;
+  StaggerFirstStarts(worker_index);
 
   size_t next = 0;
   size_t skipped = 0;
@@ -95,7 +115,7 @@ void Driver::WorkerLoop(uint32_t worker_index, uint64_t start_ns,
       }
       continue;
     }
-    if (config_.pace_us > 0 && now < slot->next_allowed_ns) {
+    if (!PaceDue(*slot, now)) {
       if (++skipped >= mine.size()) {
         skipped = 0;
         SleepForMicros(20);
@@ -103,7 +123,7 @@ void Driver::WorkerLoop(uint32_t worker_index, uint64_t start_ns,
       continue;
     }
     skipped = 0;
-    slot->next_allowed_ns = now + config_.pace_us * 1000;
+    ArmNextStart(slot, now);
     RunSlotTxn(slot, &rng, start_ns, latency);
   }
 }
@@ -153,7 +173,7 @@ void Driver::FiberWorkerLoop(uint32_t worker_index, uint64_t start_ns,
           }
           continue;
         }
-        if (config_.pace_us > 0 && now < slot->next_allowed_ns) {
+        if (!PaceDue(*slot, now)) {
           if (++skipped >= owned.size()) {
             skipped = 0;
             // Deadline-aware pacing: suspend until the earliest live slot
@@ -163,7 +183,7 @@ void Driver::FiberWorkerLoop(uint32_t worker_index, uint64_t start_ns,
               if (s->coord.load(std::memory_order_acquire) == nullptr) {
                 continue;
               }
-              earliest = std::min(earliest, s->next_allowed_ns);
+              earliest = std::min(earliest, s->next_due_ns);
             }
             if (earliest == UINT64_MAX) {
               SleepForMicros(50);
@@ -180,11 +200,12 @@ void Driver::FiberWorkerLoop(uint32_t worker_index, uint64_t start_ns,
         // backlog drain before starting another (the stop/deadline checks
         // re-run after the pacing suspension).
         if (scheduler.PaceAdmission()) continue;
-        slot->next_allowed_ns = now + config_.pace_us * 1000;
+        ArmNextStart(slot, now);
         RunSlotTxn(slot, &rng, start_ns, latency);
       }
     });
   }
+  StaggerFirstStarts(worker_index);
   scheduler.Run();
   *fiber_stats = scheduler.stats();
 }

@@ -131,8 +131,21 @@ class Driver {
     rdma::NodeId node = rdma::kInvalidNodeId;
     uint32_t compute_index = 0;
     std::atomic<txn::Coordinator*> coord{nullptr};
-    uint64_t next_allowed_ns = 0;  // Pacing deadline (owner thread only).
+    /// Pacing: when the slot may next start a transaction (owner thread
+    /// only).
+    uint64_t next_due_ns = 0;
   };
+
+  /// Pacing: spreads the first starts of worker `worker_index`'s slots
+  /// evenly over one period from now, slot i of n at pace*i/n, instead of
+  /// letting them all fire at once. Called as the worker starts running.
+  void StaggerFirstStarts(uint32_t worker_index);
+  /// Pacing: true when `slot` may start a transaction at `now`.
+  bool PaceDue(const Slot& slot, uint64_t now) const {
+    return config_.pace_us == 0 || now >= slot.next_due_ns;
+  }
+  /// Pacing: re-arms a due slot that starts a transaction at `now`.
+  void ArmNextStart(Slot* slot, uint64_t now) const;
 
   void WorkerLoop(uint32_t worker_index, uint64_t start_ns,
                   uint64_t deadline_ns, LatencyHistogram* latency);

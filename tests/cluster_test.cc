@@ -6,6 +6,7 @@
 #include <cstdlib>
 #include <map>
 #include <new>
+#include <optional>
 #include <set>
 #include <thread>
 #include <vector>
@@ -388,6 +389,33 @@ TEST(ClusterTest, PlacementEpochAdvancesOnFailoverAndRebuild) {
   EXPECT_GT(e2, e1) << "re-admission must invalidate placement caches";
 }
 
+// Memory-node ids of 64 and above get their own address epoch: rebuilding
+// one must invalidate the coordinators' L1 address entries for it, as it
+// does for low ids.
+TEST(ClusterTest, RebuildBumpsAddressEpochOfHighNodeIds) {
+  ClusterConfig config = TestConfig();
+  config.memory_nodes = 70;
+  Cluster cluster(config);
+  const store::TableId t = cluster.CreateTable("t", 8, 64);
+  const char v[8] = "x";
+  for (store::Key k = 0; k < 32; ++k) {
+    ASSERT_TRUE(cluster.LoadRow(t, k, Slice(v, 8)).ok());
+  }
+  const rdma::NodeId node = cluster.memory_node_id(66);
+  ASSERT_GE(node, 64);
+  const AddressCache& shared = cluster.addresses();
+  LocalAddressCache local;
+  local.Insert(shared, t, node, /*key=*/7, /*slot=*/3);
+  ASSERT_EQ(local.Lookup(shared, t, node, 7), std::optional<uint64_t>(3));
+  const uint32_t before = shared.node_epoch(node);
+
+  cluster.CrashMemoryNode(node);
+  ASSERT_TRUE(cluster.RebuildMemoryNode(node).ok());
+  EXPECT_GT(shared.node_epoch(node), before);
+  EXPECT_EQ(local.Lookup(shared, t, node, 7), std::nullopt)
+      << "a rebuilt node's old slot must not be served from the L1";
+}
+
 // Zero-allocation guard: once the cache is warm, the hot placement path —
 // hash, cache lookup, primary selection, touched-server collection — must
 // not touch the heap. This is the tentpole's core claim; the global
@@ -584,14 +612,17 @@ TEST(PlacementCacheTest, ConcurrentLookupsNeverSeeStaleReplicaSets) {
   for (store::Key k = 0; k < 128; ++k) {
     ASSERT_TRUE(cluster.LoadRow(t, k, Slice(v, 8)).ok());
   }
-  PlacementCache cache;
   std::atomic<bool> stop{false};
   std::atomic<uint64_t> hits{0};
   std::atomic<uint64_t> mismatches{0};
 
+  // A PlacementCache belongs to one coordinator and is single-threaded,
+  // so each reader thread plays a coordinator with its own cache; what
+  // they share is the cluster whose ring and epoch move under them.
   std::vector<std::thread> readers;
   for (int r = 0; r < 4; ++r) {
     readers.emplace_back([&] {
+      PlacementCache cache;
       while (!stop.load(std::memory_order_acquire)) {
         for (store::Key k = 0; k < 128; ++k) {
           const uint64_t hash = HashRing::PlacementHash(t, k);

@@ -1,8 +1,13 @@
 #include <gtest/gtest.h>
+#include <xmmintrin.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdio>
 #include <cstring>
 #include <set>
+#include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -633,6 +638,172 @@ TEST(FiberTest, PeriodicOsYieldCountsUnderLongScheduling) {
   });
   scheduler.Run();
   EXPECT_GE(scheduler.stats().os_yields, 1u);
+}
+
+// ------------------------------------------------------- Fiber switch --
+// The scheduler's hand-written stack switch must preserve everything the
+// SysV ABI says survives a call: callee-saved registers, the stack's
+// 16-byte alignment, and the MXCSR / x87 control words, per fiber.
+
+uint16_t X87ControlWord() {
+  uint16_t word = 0;
+  __asm__ volatile("fnstcw %0" : "=m"(word));
+  return word;
+}
+
+void SetX87ControlWord(uint16_t word) {
+  __asm__ volatile("fldcw %0" : : "m"(word));
+}
+
+TEST(FiberSwitchTest, FloatingPointControlStateIsPerFiber) {
+  const uint32_t thread_mxcsr = _mm_getcsr();
+  const uint16_t thread_x87 = X87ControlWord();
+  // Two fibers pick different SSE rounding modes and x87 precision /
+  // rounding controls, then interleave through several suspensions.
+  struct Setting {
+    uint32_t rounding;
+    uint16_t x87;
+  };
+  const Setting settings[2] = {
+      {_MM_ROUND_TOWARD_ZERO, 0x0F7F},  // x87: truncate, 64-bit mantissa.
+      {_MM_ROUND_UP, 0x087F},           // x87: round up, 24-bit mantissa.
+  };
+  FiberScheduler scheduler;
+  int checks = 0;
+  for (const Setting& setting : settings) {
+    scheduler.Spawn([&, setting] {
+      _MM_SET_ROUNDING_MODE(setting.rounding);
+      SetX87ControlWord(setting.x87);
+      for (int i = 0; i < 5; ++i) {
+        scheduler.WaitUntilNanos(0);
+        EXPECT_EQ(_MM_GET_ROUNDING_MODE(), setting.rounding);
+        EXPECT_EQ(X87ControlWord(), setting.x87);
+        ++checks;
+      }
+      // The mode is live, not just stored: SSE arithmetic rounds by it.
+      volatile float one = 1.0f;
+      volatile float three = 3.0f;
+      const float third = one / three;
+      if (setting.rounding == _MM_ROUND_UP) {
+        EXPECT_GT(static_cast<double>(third), 1.0 / 3.0);
+      } else {
+        EXPECT_LT(static_cast<double>(third), 1.0 / 3.0);
+      }
+    });
+  }
+  scheduler.Run();
+  EXPECT_EQ(checks, 10);
+  // The scheduler (thread) context got its own control state back.
+  EXPECT_EQ(_mm_getcsr(), thread_mxcsr);
+  EXPECT_EQ(X87ControlWord(), thread_x87);
+}
+
+[[gnu::noinline]] int SuspendThenThrow(FiberScheduler* scheduler, int id) {
+  scheduler->WaitUntilNanos(0);
+  throw std::runtime_error("fiber " + std::to_string(id));
+}
+
+TEST(FiberSwitchTest, ExceptionsUnwindWithinAFiberAcrossSuspensions) {
+  // Each fiber enters a try block, suspends inside the callee, and only
+  // then throws: unwinding runs on a stack that was switched out and back
+  // in, while the sibling does the same in between.
+  FiberScheduler scheduler;
+  std::vector<std::string> caught;
+  for (int id = 0; id < 2; ++id) {
+    scheduler.Spawn([&, id] {
+      for (int round = 0; round < 3; ++round) {
+        try {
+          SuspendThenThrow(&scheduler, id);
+        } catch (const std::runtime_error& e) {
+          caught.push_back(e.what());
+        }
+        scheduler.WaitUntilNanos(0);
+      }
+    });
+  }
+  scheduler.Run();
+  ASSERT_EQ(caught.size(), 6u);
+  EXPECT_EQ(std::count(caught.begin(), caught.end(), "fiber 0"), 3);
+  EXPECT_EQ(std::count(caught.begin(), caught.end(), "fiber 1"), 3);
+}
+
+TEST(FiberSwitchTest, FiberStacksKeepSixteenByteAlignment) {
+  // A fresh fiber and a resumed one both see an ABI-aligned stack:
+  // 16-byte-aligned SSE locals, aligned vector loads and stores, and
+  // varargs floating-point formatting (which spills with aligned moves)
+  // all work.
+  FiberScheduler scheduler;
+  bool ran = false;
+  scheduler.Spawn([&] {
+    for (int i = 0; i < 2; ++i) {
+      alignas(16) float lanes[4] = {1.0f, 2.0f, 3.0f, 4.0f};
+      EXPECT_EQ(reinterpret_cast<uintptr_t>(lanes) % 16, 0u);
+      __m128 v = _mm_load_ps(lanes);
+      v = _mm_add_ps(v, v);
+      _mm_store_ps(lanes, v);
+      EXPECT_EQ(lanes[3], 8.0f);
+      char text[32];
+      std::snprintf(text, sizeof(text), "%.2f",
+                    static_cast<double>(lanes[0]));
+      EXPECT_STREQ(text, "2.00");
+      scheduler.WaitUntilNanos(0);
+    }
+    ran = true;
+  });
+  scheduler.Run();
+  EXPECT_TRUE(ran);
+}
+
+// Recurses until `used_target` bytes of this fiber's stack are in use,
+// each frame holding a 256-byte pattern, suspends at the bottom, and
+// checks every frame's pattern on the way back up.
+[[gnu::noinline]] uint64_t RecurseAndSuspend(FiberScheduler* scheduler,
+                                             uintptr_t top,
+                                             size_t used_target,
+                                             uint32_t depth,
+                                             uint32_t* max_depth) {
+  volatile uint8_t pattern[256];
+  for (size_t i = 0; i < sizeof(pattern); ++i) {
+    pattern[i] = static_cast<uint8_t>(depth * 31 + i);
+  }
+  const uintptr_t here =
+      reinterpret_cast<uintptr_t>(__builtin_frame_address(0));
+  uint64_t sum = depth;
+  if (top - here < used_target) {
+    sum += RecurseAndSuspend(scheduler, top, used_target, depth + 1,
+                             max_depth);
+  } else {
+    *max_depth = depth;
+    scheduler->WaitUntilNanos(0);
+  }
+  for (size_t i = 0; i < sizeof(pattern); ++i) {
+    if (pattern[i] != static_cast<uint8_t>(depth * 31 + i)) return 0;
+  }
+  return sum;
+}
+
+TEST(FiberSwitchTest, DeepRecursionUsesMostOfTheStack) {
+  // Two fibers each fill three quarters of a 128 KiB stack and suspend
+  // there while the other does the same; neither frame chain may be
+  // corrupted by the other's.
+  constexpr size_t kStackBytes = 128 * 1024;
+  FiberScheduler scheduler(kStackBytes);
+  uint64_t sums[2] = {0, 0};
+  uint32_t depths[2] = {0, 0};
+  for (int f = 0; f < 2; ++f) {
+    scheduler.Spawn([&, f] {
+      const uintptr_t top =
+          reinterpret_cast<uintptr_t>(__builtin_frame_address(0));
+      sums[f] = RecurseAndSuspend(&scheduler, top, kStackBytes * 3 / 4, 1,
+                                  &depths[f]);
+    });
+  }
+  scheduler.Run();
+  for (int f = 0; f < 2; ++f) {
+    ASSERT_GT(depths[f], 10u);
+    // 1 + 2 + ... + depth, unless some frame's pattern was clobbered.
+    EXPECT_EQ(sums[f], uint64_t{depths[f]} * (depths[f] + 1) / 2);
+  }
 }
 
 }  // namespace

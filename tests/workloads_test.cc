@@ -1,7 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <map>
 #include <memory>
+#include <mutex>
+#include <string>
 #include <thread>
 
 #include "common/clock.h"
@@ -434,6 +438,81 @@ TEST_F(WorkloadsTest, FiberDriverHonorsPacing) {
   // immediate start each; aborts only lower the committed count.
   EXPECT_GT(result.committed, 100u);
   EXPECT_LE(result.committed, 8u * (200'000u / 500u) + 8u);
+}
+
+// Records when each coordinator first starts a transaction.
+class FirstStartRecorder : public Workload {
+ public:
+  explicit FirstStartRecorder(Workload* inner) : inner_(inner) {}
+
+  std::string name() const override { return inner_->name(); }
+  Status Setup(cluster::Cluster* cluster) override {
+    return inner_->Setup(cluster);
+  }
+  Status RunTransaction(txn::Coordinator* coord, Random* rng) override {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      first_start_ns_.emplace(coord, NowNanos());  // Keeps the first.
+    }
+    return inner_->RunTransaction(coord, rng);
+  }
+
+  std::vector<uint64_t> SortedFirstStarts() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    std::vector<uint64_t> starts;
+    for (const auto& [coord, ns] : first_start_ns_) starts.push_back(ns);
+    std::sort(starts.begin(), starts.end());
+    return starts;
+  }
+
+ private:
+  Workload* inner_;
+  mutable std::mutex mu_;
+  std::map<txn::Coordinator*, uint64_t> first_start_ns_;
+};
+
+TEST_F(WorkloadsTest, PacedDriverStaggersFirstStartsAcrossThePeriod) {
+  // Paced slots must not all fire together at t=0 (and thereby in
+  // lockstep forever after): slot i's first start is due at pace*i/slots,
+  // so the first period's starts spread across the whole period. Checked
+  // for both the blocking and the fiber worker loop.
+  MicroConfig config;
+  config.num_keys = 1000;
+  MicroWorkload micro(config);
+  Start(&micro);
+  constexpr uint32_t kCoordinators = 8;
+  constexpr uint64_t kPaceUs = 8000;
+  for (const uint32_t fibers : {1u, 4u}) {
+    FirstStartRecorder recorder(&micro);
+    DriverConfig driver_config;
+    driver_config.threads = 2;
+    driver_config.coordinators = kCoordinators;
+    driver_config.duration_ms = 30;
+    driver_config.bucket_ms = 10;
+    driver_config.pace_us = kPaceUs;
+    driver_config.fibers_per_thread = fibers;
+    Driver driver(cluster_.get(), manager_.get(), &gate_, &recorder,
+                  driver_config);
+    driver.Run();
+    const std::vector<uint64_t> starts = recorder.SortedFirstStarts();
+    ASSERT_EQ(starts.size(), kCoordinators) << "fibers=" << fibers;
+    std::string offsets_us;
+    for (const uint64_t ns : starts) {
+      offsets_us += " " + std::to_string((ns - starts.front()) / 1000);
+    }
+    // Evenly staggered, 1 ms apart: only the slot due at t=0 lands in the
+    // first eighth of the period (lockstep arrivals put all eight there),
+    // and the last first start comes most of a period after the first.
+    // Late wake-ups can only push starts later, hence the slack.
+    const uint64_t pace_ns = kPaceUs * 1000;
+    const auto clustered = std::count_if(
+        starts.begin(), starts.end(),
+        [&](uint64_t ns) { return ns - starts.front() < pace_ns / 8; });
+    EXPECT_LE(clustered, static_cast<long>(kCoordinators / 2))
+        << "fibers=" << fibers << ", first starts at (us):" << offsets_us;
+    EXPECT_GE(starts.back() - starts.front(), pace_ns / 2)
+        << "fibers=" << fibers << ", first starts at (us):" << offsets_us;
+  }
 }
 
 TEST_F(WorkloadsTest, FiberDriverBoundsTailLatency) {
